@@ -26,7 +26,8 @@
 //! after any update sequence its tree-edge set is **bit-identical** to
 //! rebuilding the surviving edge set from scratch and running
 //! [`crate::serial_kruskal`] (the `ecl-fuzz --updates` campaign enforces
-//! this after every batch via [`crate::verify_msf`]).
+//! this after every batch, against that forest and the
+//! [`crate::verify_msf`] certificate).
 //!
 //! Batches are the quiescence unit: [`DynamicMsf::apply_batch`] applies
 //! ops in order, then rebuilds the DSU if a split dirtied it and refreshes

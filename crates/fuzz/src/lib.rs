@@ -3,11 +3,12 @@
 //! The paper's artifact verifies each run against serial Kruskal; this
 //! crate industrializes that idea. A campaign generates adversarial graph
 //! families ([`gen`]), runs *every* code in the workspace on each case
-//! ([`backends`]), and demands the bit-identical unique MSF via
-//! [`ecl_mst::verify_msf`]. Serialization round-trips (binary, text,
-//! DIMACS) are fuzzed on every case, and a sampled subset additionally runs
-//! under the SIMT sanitizer and the tracer so their invariants are fuzzed
-//! too. Failures shrink ([`shrink`]) to minimal reproductions and land in
+//! ([`backends`]), and demands the bit-identical unique MSF from two
+//! independent oracles: the sort-free certificate [`ecl_mst::verify_msf`]
+//! and a direct comparison with [`ecl_mst::serial_kruskal`]. Serialization
+//! round-trips (binary, text, DIMACS) are fuzzed on every case, and a
+//! sampled subset additionally runs under the SIMT sanitizer and the tracer
+//! so their invariants are fuzzed too. Failures shrink ([`shrink`]) to minimal reproductions and land in
 //! the checked-in corpus ([`corpus`]) that replays as plain `cargo test`.
 //!
 //! Entry points: `cargo xtask fuzz --cases N --seed S` (CLI) or
@@ -28,7 +29,7 @@ pub use updates::UpdateScript;
 use backends::{Backend, Coverage};
 use ecl_graph::stats::connected_components;
 use ecl_graph::CsrGraph;
-use ecl_mst::{verify_msf, MstError, OptConfig};
+use ecl_mst::{serial_kruskal, verify_msf, MstError, MstResult, OptConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One observed divergence: which check failed and how.
@@ -66,12 +67,13 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Runs every registered backend on `g` and checks each answer.
 ///
-/// MSF backends must return the unique forest (verified structurally and
-/// against serial Kruskal by [`verify_msf`]); MST-only backends must accept
-/// single-component inputs with the same forest and reject anything else
-/// with [`MstError::NotConnected`]. Panics are caught and reported as
-/// failures of the panicking backend.
+/// MSF backends must return the unique forest, accepted by the
+/// [`verify_msf`] certificate and equal to the [`serial_kruskal`] forest;
+/// MST-only backends must accept single-component inputs with the same
+/// forest and reject anything else with [`MstError::NotConnected`]. Panics
+/// are caught and reported as failures of the panicking backend.
 pub fn check_backends(g: &CsrGraph, registry: &[Backend]) -> Result<(), Failure> {
+    let expected = serial_kruskal(g);
     let must_reject = g.num_vertices() > 1 && connected_components(g) != 1;
     for b in registry {
         let outcome = catch_unwind(AssertUnwindSafe(|| b.run(g)));
@@ -91,11 +93,29 @@ pub fn check_backends(g: &CsrGraph, registry: &[Backend]) -> Result<(), Failure>
                 if b.coverage == Coverage::MstOnly && must_reject {
                     return Err(fail(&b.name, "accepted a disconnected input"));
                 }
-                verify_msf(g, &r).map_err(|e| fail(&b.name, e))?;
+                check_msf(g, &r, &expected).map_err(|e| fail(&b.name, e))?;
             }
         }
     }
     Ok(())
+}
+
+/// Checks `r` against both oracles: the [`verify_msf`] certificate and
+/// `expected`, the [`serial_kruskal`] forest of `g`. The message names the
+/// oracle that rejected it.
+pub(crate) fn check_msf(g: &CsrGraph, r: &MstResult, expected: &MstResult) -> Result<(), String> {
+    verify_msf(g, r).map_err(|e| format!("certificate: {e}"))?;
+    match r
+        .in_mst
+        .iter()
+        .zip(&expected.in_mst)
+        .position(|(a, b)| a != b)
+    {
+        None => Ok(()),
+        Some(id) => Err(format!(
+            "serial Kruskal: edge set differs (first difference at edge id {id})"
+        )),
+    }
 }
 
 /// Fuzzes the serialization layer: the graph must survive binary, text and
@@ -124,6 +144,7 @@ pub fn check_io(g: &CsrGraph) -> Result<(), Failure> {
 /// tracer, checking both instruments' invariants on this input.
 pub fn check_instrumented(g: &CsrGraph) -> Result<(), Failure> {
     use ecl_gpu_sim::{with_sanitizer, GpuProfile};
+    let expected = serial_kruskal(g);
     let (run, report) =
         with_sanitizer(|| ecl_mst::ecl_mst_gpu_with(g, &OptConfig::full(), GpuProfile::TITAN_V));
     if !report.is_clean() {
@@ -137,11 +158,11 @@ pub fn check_instrumented(g: &CsrGraph) -> Result<(), Failure> {
             ),
         ));
     }
-    verify_msf(g, &run.result).map_err(|e| fail("sanitizer", e))?;
+    check_msf(g, &run.result, &expected).map_err(|e| fail("sanitizer", e))?;
     let (run, session) = ecl_trace::with_trace(|| {
         ecl_mst::ecl_mst_gpu_with(g, &OptConfig::full(), GpuProfile::TITAN_V)
     });
-    verify_msf(g, &run.result).map_err(|e| fail("tracer", e))?;
+    check_msf(g, &run.result, &expected).map_err(|e| fail("tracer", e))?;
     if session.chrome_trace().is_empty() {
         return Err(fail("tracer", "empty chrome trace"));
     }
@@ -307,7 +328,6 @@ mod tests {
     /// An intentionally wrong backend: drops any edge heavier than 500k
     /// from its forest.
     fn bad_backend() -> backends::Backend {
-        use ecl_mst::serial_kruskal;
         backends::Backend::test_only("bad", |g| {
             let mut r = serial_kruskal(g);
             for e in g.edges() {
@@ -319,6 +339,23 @@ mod tests {
             }
             r
         })
+    }
+
+    #[test]
+    fn check_msf_names_the_rejecting_oracle() {
+        // Family 5 is a clique: it has non-tree edges to flip.
+        let g = gen::generate(3, 5).build();
+        let good = serial_kruskal(&g);
+        check_msf(&g, &good, &good).unwrap();
+        let mut flipped = good.in_mst.clone();
+        let extra = flipped.iter().position(|&b| !b).unwrap();
+        flipped[extra] = true;
+        let bad = MstResult::from_bitmap(&g, flipped);
+        let err = check_msf(&g, &bad, &good).unwrap_err();
+        assert!(err.starts_with("certificate: "), "{err}");
+        // A stale reference is caught by the second oracle alone.
+        let err = check_msf(&g, &good, &bad).unwrap_err();
+        assert!(err.starts_with("serial Kruskal: "), "{err}");
     }
 
     #[test]

@@ -5,16 +5,16 @@
 //! insert/delete/window batches. The checker replays the script through
 //! [`ecl_mst::DynamicMsf`] and, **after every batch**, demands that the
 //! engine's forest is bit-identical to rebuilding the surviving edge set
-//! from scratch — via the full [`ecl_mst::verify_msf`] gauntlet, which
-//! itself compares against serial Kruskal. Failing scripts shrink with a
-//! ddmin pass over batches, ops, initial edges, weights, and vertices
+//! from scratch — via the [`ecl_mst::verify_msf`] certificate and a direct
+//! comparison with [`ecl_mst::serial_kruskal`]. Failing scripts shrink with
+//! a ddmin pass over batches, ops, initial edges, weights, and vertices
 //! ([`shrink_script`]), and minimized reproductions serialize as `.ups`
 //! corpus entries next to the static `.txt` ones.
 
 use crate::gen;
 use crate::{fail, panic_message, Failure};
 use ecl_graph::GraphBuilder;
-use ecl_mst::{verify_msf, DynamicMsf, MstResult, UpdateOp};
+use ecl_mst::{serial_kruskal, DynamicMsf, MstResult, UpdateOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -143,9 +143,9 @@ fn model_apply(model: &mut BTreeMap<(u32, u32), u32>, op: UpdateOp) {
 }
 
 /// Asserts the engine state is bit-identical to a rebuild of `model` from
-/// scratch: edge-set equality via [`verify_msf`] (which itself compares
-/// against serial Kruskal), exact totals, per-edge weights, and a label
-/// partition that matches the forest.
+/// scratch: edge-set equality under both oracles ([`crate::check_msf`]),
+/// exact totals, per-edge weights, and a label partition that matches the
+/// forest.
 fn check_state(engine: &DynamicMsf, model: &BTreeMap<(u32, u32), u32>) -> Result<(), String> {
     if engine.num_edges() != model.len() {
         return Err(format!(
@@ -186,7 +186,7 @@ fn check_state(engine: &DynamicMsf, model: &BTreeMap<(u32, u32), u32>) -> Result
             r.total_weight
         ));
     }
-    verify_msf(&g, &r)?;
+    crate::check_msf(&g, &r, &serial_kruskal(&g))?;
     // The batch-boundary labels must partition exactly like the forest:
     // endpoints of every tree edge agree, and the number of distinct
     // labels is n - |forest|.
