@@ -1,7 +1,7 @@
 //! Criterion micro-benchmark of CSR construction throughput (edges/second):
-//! the chunk-parallel [`GraphBuilder::build_chunked`] against the reference
-//! [`GraphBuilder::build_serial`], on the Small-scale uniform-random input
-//! (`build` itself dispatches between them on the pool size).
+//! [`GraphBuilder::build`] (the bucketed counting-sort build) against the
+//! reference [`GraphBuilder::build_serial`], on the Small-scale
+//! uniform-random input.
 //! This is the cost the pipelined suite build fans out, so its throughput
 //! bounds every experiment binary's prepare phase.
 
@@ -29,8 +29,8 @@ fn bench_builder(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("builder");
     group.throughput(Throughput::Elements(triples.len() as u64));
-    group.bench_function("build_chunked_32k_d8", |b| {
-        b.iter_batched(filled, |b| b.build_chunked(), BatchSize::LargeInput)
+    group.bench_function("build_32k_d8", |b| {
+        b.iter_batched(filled, |b| b.build(), BatchSize::LargeInput)
     });
     group.bench_function("build_serial_32k_d8", |b| {
         b.iter_batched(filled, |b| b.build_serial(), BatchSize::LargeInput)

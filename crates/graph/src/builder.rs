@@ -7,7 +7,22 @@
 use crate::csr::CsrGraph;
 use crate::par;
 use crate::{VertexId, Weight};
-use rayon::prelude::*;
+
+/// log2 of [`BUCKET_WIDTH`].
+const BUCKET_BITS: u32 = 12;
+
+/// Vertices per bucket of [`GraphBuilder::build_chunked`]. A bucket's
+/// per-row counters stay cache-resident, and the width is fixed, so bucket
+/// boundaries depend only on the vertex count.
+pub const BUCKET_WIDTH: usize = 1 << BUCKET_BITS;
+
+/// Turns per-row counts into each row's first slot (exclusive prefix sum).
+fn exclusive_prefix(counts: &mut [u32]) {
+    let mut at = 0;
+    for c in counts {
+        (*c, at) = (at, at + *c);
+    }
+}
 
 /// Accumulates undirected weighted edges and produces a clean [`CsrGraph`].
 ///
@@ -109,30 +124,17 @@ impl GraphBuilder {
 
     /// Deduplicates, symmetrizes and converts to CSR.
     ///
-    /// Dispatches to the chunk-parallel path (see DESIGN.md "Deterministic
-    /// parallel construction"): a global arc sort replaces the legacy
-    /// counting sort + per-row fixup, and every stage is cut into
-    /// data-size-keyed chunks executed under [`crate::par`]. The output is
-    /// bit-identical to [`build_serial`](Self::build_serial) — the parity
-    /// test in `tests/build_parity.rs` checks that on every suite topology
-    /// — so on a one-thread pool the cheaper serial path runs instead.
+    /// Runs the bucketed counting-sort build,
+    /// [`build_chunked`](Self::build_chunked), on any thread budget (see
+    /// DESIGN.md "Parallel CSR build"). The output is bit-identical to
+    /// [`build_serial`](Self::build_serial) — `tests/build_parity.rs` checks
+    /// that on every suite topology — and independent of the thread count.
     pub fn build(self) -> CsrGraph {
-        // On a one-thread pool the chunked stages would run inline anyway,
-        // and the serial path's counting sort beats a comparison sort there
-        // — the outputs are bit-identical (parity-tested), so this is
-        // purely a cost choice.
-        // Both paths are parity-tested bit-identical, so the thread budget
-        // picks an implementation, never a result.
         let t0 = ecl_metrics::active().then(|| {
             // ecl-lint: allow(wall-clock-in-sim) host-side build-wall metric, gated on an active session; never feeds simulated numbers
             std::time::Instant::now()
         });
-        // ecl-lint: allow(thread-count-dependence) dispatch only (see above)
-        let g = if crate::par::max_threads() <= 1 {
-            self.build_serial()
-        } else {
-            self.build_chunked()
-        };
+        let g = self.build_chunked();
         ecl_metrics::counter!(GRAPH_BUILDS);
         ecl_metrics::histogram!(GRAPH_BUILD_ARCS, g.num_arcs() as f64);
         if let Some(t0) = t0 {
@@ -141,133 +143,154 @@ impl GraphBuilder {
         g
     }
 
-    /// The chunk-parallel CSR assembly behind [`build`](Self::build),
-    /// callable directly so the parity tests exercise it regardless of the
-    /// thread budget.
-    pub fn build_chunked(mut self) -> CsrGraph {
+    /// The bucketed counting-sort CSR build behind [`build`](Self::build),
+    /// callable directly so the parity tests name it.
+    ///
+    /// Vertices fall into buckets of [`BUCKET_WIDTH`]; every stage below is
+    /// either a data-size-chunked stable scatter or one task per bucket, so
+    /// no stage sorts the whole edge list and the result never depends on
+    /// the thread count.
+    pub fn build_chunked(self) -> CsrGraph {
         let n = self.num_vertices;
+        let buckets = n.div_ceil(BUCKET_WIDTH).max(1);
+        let bucket_of = |x: VertexId| (x >> BUCKET_BITS) as usize;
+        let first_row = |b: usize| b << BUCKET_BITS;
+        let row_cuts: Vec<usize> = (1..buckets).map(first_row).collect();
+        ecl_metrics::counter!(GRAPH_BUILD_CHUNKS, buckets as u64);
 
-        // Sort normalized triples so duplicates are adjacent with the
-        // lightest first, then keep the first of each (u, v) run. The
-        // parallel sort of plain integer triples is deterministic: Ord-equal
-        // triples are bit-equal.
-        self.edges.par_sort_unstable();
-        self.edges.dedup_by_key(|&mut (u, v, _)| (u, v));
+        // 1. Group the normalized triples by source bucket, then free the
+        //    raw list: nothing after the scatter reads it.
+        let (mut by_src, src_off) =
+            par::scatter_stable(&self.edges, buckets, |e| bucket_of(e.0), |_, &e| e);
+        drop(self.edges);
 
-        let m = self.edges.len();
+        // 2. Per bucket: counting sort by source into packed (v, w) keys,
+        //    sort each row, and keep the first — lightest — key of each
+        //    destination run, written back as (u, v, w) at the front of the
+        //    bucket's slice. The result is the bucket's deduped edges in
+        //    (u, v) order. The per-row counters borrow `row_starts`, which
+        //    step 5 overwrites.
+        let mut row_starts = vec![0u32; n + 1];
+        let mut keys = vec![0u64; by_src.len()];
+        let tasks: Vec<_> = par::split_mut_at(&mut by_src, &src_off[1..buckets])
+            .into_iter()
+            .zip(par::split_mut_at(&mut keys, &src_off[1..buckets]))
+            .zip(par::split_mut_at(&mut row_starts[..n], &row_cuts))
+            .enumerate()
+            .collect();
+        let kept: Vec<usize> = par::par_tasks(tasks, |(b, ((piece, keys), next))| {
+            assert!(
+                piece.len() <= u32::MAX as usize,
+                "bucket exceeds 2^32 raw triples"
+            );
+            let lo = first_row(b);
+            for &(u, _, _) in piece.iter() {
+                next[u as usize - lo] += 1;
+            }
+            exclusive_prefix(next);
+            for &(u, v, w) in piece.iter() {
+                let c = &mut next[u as usize - lo];
+                keys[*c as usize] = u64::from(v) << 32 | u64::from(w);
+                *c += 1;
+            }
+            // `next[r]` is now the end of row r.
+            let (mut out, mut row_lo) = (0, 0);
+            for (r, &row_hi) in next.iter().enumerate() {
+                let row = &mut keys[row_lo..row_hi as usize];
+                row.sort_unstable();
+                let mut last = None;
+                for &key in row.iter() {
+                    let v = (key >> 32) as VertexId;
+                    if last != Some(v) {
+                        piece[out] = ((lo + r) as VertexId, v, key as Weight);
+                        out += 1;
+                        last = Some(v);
+                    }
+                }
+                row_lo = row_hi as usize;
+            }
+            out
+        });
+        drop(keys);
+
+        // 3. Compact into the deduped edge list. Buckets ascend by source, so
+        //    the list is sorted by (u, v) and an edge's index is its id.
+        let fwd_off: Vec<usize> = std::iter::once(0)
+            .chain(kept.iter().scan(0, |acc, &k| {
+                *acc += k;
+                Some(*acc)
+            }))
+            .collect();
+        let m = fwd_off[buckets];
         assert!(
             2 * m <= u32::MAX as usize,
             "arc count exceeds 32-bit CSR limit"
         );
-        let edges = self.edges;
+        let mut edges = vec![(0, 0, 0); m];
+        par::par_split_mut(&mut edges, &fwd_off[1..buckets], |b, piece| {
+            piece.copy_from_slice(&by_src[src_off[b]..src_off[b] + piece.len()]);
+        });
+        drop(by_src);
 
-        // The deduped list, sorted by (u, v), is already the forward arc
-        // half: row u's arcs to higher-numbered vertices, destinations
-        // ascending, edge id = list index. The reverse half needs its own
-        // sort by (v, u); carrying (weight, id) makes each record
-        // self-contained. Chunked fill + one parallel sort.
-        let mut rev: Vec<(VertexId, VertexId, Weight, u32)> = vec![(0, 0, 0, 0); m];
-        {
-            let cuts: Vec<usize> = par::chunk_ranges(m, 1 << 17)
-                .iter()
-                .skip(1)
-                .map(|r| r.start)
-                .collect();
-            ecl_metrics::counter!(GRAPH_BUILD_CHUNKS, (cuts.len() + 1) as u64);
-            let edges = &edges;
-            par::par_split_mut(&mut rev, &cuts, |piece_idx, piece| {
-                let base = if piece_idx == 0 {
-                    0
-                } else {
-                    cuts[piece_idx - 1]
-                };
-                for (off, slot) in piece.iter_mut().enumerate() {
-                    let (u, v, w) = edges[base + off];
-                    *slot = (v, u, w, (base + off) as u32);
-                }
-            });
-        }
-        rev.par_sort_unstable();
+        // 4. Reverse half: (v, u, w, id) grouped by destination bucket. The
+        //    scatter is stable and its input is in id order, so the records
+        //    of one destination v come out with ascending id — and, v being
+        //    fixed, ascending u. No sort needed.
+        let (rev, rev_off) = par::scatter_stable(
+            &edges,
+            buckets,
+            |e| bucket_of(e.1),
+            |id, &(u, v, w)| (v, u, w, id as u32),
+        );
 
-        // Row offsets. `fwd[k]` counts edges with u < k and `rvs[k]` edges
-        // with v < k, both read off the sorted orders by parallel partition
-        // search; their sum is the exclusive prefix sum of the arc degrees,
-        // i.e. the CSR row starts.
-        let fwd = par::sorted_key_offsets(n, m, |i| edges[i].0);
-        let rvs = par::sorted_key_offsets(n, m, |i| rev[i].0);
-        let row_starts: Vec<u32> = par::run_chunks(n + 1, 1 << 16, |r| {
-            r.map(|k| fwd[k] + rvs[k]).collect::<Vec<u32>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-
-        // Merge the two sorted halves of each row directly into the final
-        // arrays. Destinations within a row are unique after dedup, so the
-        // two-pointer merge on destination alone reproduces the legacy
-        // (dst, weight, id) row sort. Vertex chunks own disjoint arc ranges.
+        // 5. Row s is its reverse arcs (dst < s, ascending) followed by its
+        //    forward arcs (dst > s, ascending): a concatenation, written in
+        //    place. Bucket b owns rows first_row(b).. and the arc range
+        //    starting at fwd_off[b] + rev_off[b].
         let mut adjacency = vec![0 as VertexId; 2 * m];
         let mut arc_weights = vec![0 as Weight; 2 * m];
         let mut arc_edge_ids = vec![0u32; 2 * m];
-        {
-            let vertex_chunks = par::chunk_ranges(n, 1 << 15);
-            ecl_metrics::counter!(GRAPH_BUILD_CHUNKS, vertex_chunks.len() as u64);
-            struct MergeTask<'a> {
-                vertices: std::ops::Range<usize>,
-                adj: &'a mut [VertexId],
-                wts: &'a mut [Weight],
-                ids: &'a mut [u32],
+        let arc_cuts: Vec<usize> = (1..buckets).map(|b| fwd_off[b] + rev_off[b]).collect();
+        let tasks: Vec<_> = par::split_mut_at(&mut row_starts[..n], &row_cuts)
+            .into_iter()
+            .zip(par::split_mut_at(&mut adjacency, &arc_cuts))
+            .zip(par::split_mut_at(&mut arc_weights, &arc_cuts))
+            .zip(par::split_mut_at(&mut arc_edge_ids, &arc_cuts))
+            .enumerate()
+            .collect();
+        par::par_tasks(tasks, |(b, (((starts, adj), wts), ids))| {
+            let lo = first_row(b);
+            let fwd = &edges[fwd_off[b]..fwd_off[b + 1]];
+            let rvs = &rev[rev_off[b]..rev_off[b + 1]];
+            // Row degrees, turned into each row's first slot in the bucket.
+            starts.fill(0);
+            for &(v, ..) in rvs {
+                starts[v as usize - lo] += 1;
             }
-            let mut tasks: Vec<MergeTask<'_>> = Vec::with_capacity(vertex_chunks.len());
-            let (mut adj_rest, mut wts_rest, mut ids_rest) = (
-                adjacency.as_mut_slice(),
-                arc_weights.as_mut_slice(),
-                arc_edge_ids.as_mut_slice(),
-            );
-            let mut consumed = 0usize;
-            // lint-metering: serial-ok (O(#chunks) slice partitioning, not O(m))
-            for r in vertex_chunks {
-                let hi = row_starts[r.end] as usize;
-                let take = hi - consumed;
-                let (a, ar) = adj_rest.split_at_mut(take);
-                let (w, wr) = wts_rest.split_at_mut(take);
-                let (i, ir) = ids_rest.split_at_mut(take);
-                (adj_rest, wts_rest, ids_rest) = (ar, wr, ir);
-                tasks.push(MergeTask {
-                    vertices: r,
-                    adj: a,
-                    wts: w,
-                    ids: i,
-                });
-                consumed = hi;
+            for &(u, ..) in fwd {
+                starts[u as usize - lo] += 1;
             }
-            let (edges, rev, fwd, rvs, row_starts) = (&edges, &rev, &fwd, &rvs, &row_starts);
-            par::par_tasks(tasks, |task| {
-                let chunk_base = row_starts[task.vertices.start] as usize;
-                for s in task.vertices.clone() {
-                    let mut out = row_starts[s] as usize - chunk_base;
-                    let (mut f, f_end) = (fwd[s] as usize, fwd[s + 1] as usize);
-                    let (mut r, r_end) = (rvs[s] as usize, rvs[s + 1] as usize);
-                    while f < f_end || r < r_end {
-                        let take_fwd = r >= r_end || (f < f_end && edges[f].1 < rev[r].1);
-                        let (dst, w, id) = if take_fwd {
-                            let (_, v, w) = edges[f];
-                            let id = f as u32;
-                            f += 1;
-                            (v, w, id)
-                        } else {
-                            let (_, u, w, id) = rev[r];
-                            r += 1;
-                            (u, w, id)
-                        };
-                        task.adj[out] = dst;
-                        task.wts[out] = w;
-                        task.ids[out] = id;
-                        out += 1;
-                    }
-                }
-            });
-        }
+            exclusive_prefix(starts);
+            let fwd_arcs = (fwd_off[b]..)
+                .zip(fwd)
+                .map(|(id, &(u, v, w))| (u, v, w, id as u32));
+            for (src, dst, w, id) in rvs.iter().copied().chain(fwd_arcs) {
+                let c = &mut starts[src as usize - lo];
+                (adj[*c as usize], wts[*c as usize], ids[*c as usize]) = (dst, w, id);
+                *c += 1;
+            }
+            // Each cursor now holds its row's end, the next row's start:
+            // shift by one row and make them global.
+            if !starts.is_empty() {
+                starts.rotate_right(1);
+                starts[0] = 0;
+            }
+            let base = (fwd_off[b] + rev_off[b]) as u32;
+            for start in starts.iter_mut() {
+                *start += base;
+            }
+        });
+        row_starts[n] = (2 * m) as u32;
 
         CsrGraph::from_parts_unchecked(row_starts, adjacency, arc_weights, arc_edge_ids)
     }

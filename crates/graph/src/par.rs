@@ -17,7 +17,7 @@
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     static FORCE_SERIAL: Cell<bool> = const { Cell::new(false) };
@@ -111,76 +111,134 @@ pub fn run_chunks<R: Send + Sync>(
     par_map(&ranges, |_, r| f(r.clone()))
 }
 
-/// Runs `f` once per owned task, distributing tasks round-robin over the
-/// thread budget. For tasks that carry `&mut` slices (disjoint by
-/// construction at the call site) where no result is needed.
-pub fn par_tasks<T: Send>(tasks: Vec<T>, f: impl Fn(T) + Sync) {
-    let threads = max_threads().min(tasks.len());
+/// Runs `f` once per owned task on up to [`max_threads`] workers and returns
+/// the results in task order. For tasks that carry `&mut` slices (disjoint by
+/// construction at the call site). Workers self-schedule off a shared queue,
+/// so one expensive task (a hub vertex's bucket, say) does not hold back the
+/// tasks queued behind it.
+///
+/// The queue and the result slots live on the caller's heap, so a worker
+/// allocates nothing beyond what `f` does: glibc keeps the heap memory a
+/// thread touched in that thread's arena after the thread exits, and
+/// allocations on short-lived workers add up in the peak RSS.
+pub fn par_tasks<T: Send, R: Send>(tasks: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let len = tasks.len();
+    let threads = max_threads().min(len);
     if threads <= 1 {
-        for task in tasks {
-            f(task);
-        }
-        return;
+        return tasks.into_iter().map(f).collect();
     }
-    let mut batches: Vec<Vec<T>> = (0..threads).map(|_| Vec::new()).collect();
-    for (k, task) in tasks.into_iter().enumerate() {
-        batches[k % threads].push(task);
-    }
+    let queue = Mutex::new(tasks.into_iter().enumerate());
+    let slots: Vec<Mutex<Option<R>>> = std::iter::repeat_with(|| Mutex::new(None))
+        .take(len)
+        .collect();
     std::thread::scope(|s| {
-        for batch in batches {
-            s.spawn(|| {
-                for task in batch {
-                    f(task);
-                }
+        for _ in 0..threads {
+            s.spawn(|| loop {
+                // Bound first, so the queue is unlocked before `f` runs.
+                let next = queue.lock().expect("task queue poisoned").next();
+                let Some((i, task)) = next else { break };
+                let r = f(task);
+                *slots[i].lock().expect("result slot poisoned") = Some(r);
             });
         }
     });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot poisoned")
+                .expect("every task ran")
+        })
+        .collect()
 }
 
 /// Splits `data` at the given ascending cut points (relative to the start of
-/// `data`, final implicit cut at `data.len()`) and hands each piece, with its
-/// index, to `f` in parallel.
-pub fn par_split_mut<T: Send>(data: &mut [T], cuts: &[usize], f: impl Fn(usize, &mut [T]) + Sync) {
+/// `data`, final implicit cut at `data.len()`) into `cuts.len() + 1`
+/// disjoint pieces.
+pub fn split_mut_at<'a, T>(data: &'a mut [T], cuts: &[usize]) -> Vec<&'a mut [T]> {
     let mut rest = data;
     let mut prev = 0;
-    let mut tasks: Vec<(usize, &mut [T])> = Vec::with_capacity(cuts.len() + 1);
-    for (i, &c) in cuts.iter().enumerate() {
-        let (head, tail) = rest.split_at_mut(c - prev);
-        tasks.push((i, head));
+    let mut pieces = Vec::with_capacity(cuts.len() + 1);
+    for &c in cuts {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(c - prev);
+        pieces.push(head);
         rest = tail;
         prev = c;
     }
-    tasks.push((cuts.len(), rest));
-    par_tasks(tasks, |(i, piece)| f(i, piece));
+    pieces.push(rest);
+    pieces
 }
 
-/// For `len` records sorted by a `u32` key in `0..n`, returns the `n + 1`
-/// partition offsets: `out[k]` = number of records with key `< k`. This *is*
-/// the exclusive prefix sum of the per-key counts, read off the sorted order
-/// with an embarrassingly parallel binary search per key chunk.
-pub fn sorted_key_offsets(n: usize, len: usize, key_at: impl Fn(usize) -> u32 + Sync) -> Vec<u32> {
-    let chunks = run_chunks(n + 1, 1 << 16, |r| {
-        let mut part = Vec::with_capacity(r.len());
-        for k in r {
-            // partition_point over the record indices for key < k.
-            let (mut lo, mut hi) = (0usize, len);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if (key_at(mid) as usize) < k {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            part.push(u32::try_from(lo).expect("arc count fits u32"));
+/// [`split_mut_at`] then [`par_tasks`]: hands each piece, with its index, to
+/// `f` in parallel and returns the results in piece order.
+pub fn par_split_mut<T: Send, R: Send>(
+    data: &mut [T],
+    cuts: &[usize],
+    f: impl Fn(usize, &mut [T]) -> R + Sync,
+) -> Vec<R> {
+    let tasks: Vec<_> = split_mut_at(data, cuts).into_iter().enumerate().collect();
+    par_tasks(tasks, |(i, piece)| f(i, piece))
+}
+
+/// Items per chunk of [`scatter_stable`]'s histogram and scatter passes.
+const SCATTER_CHUNK: usize = 1 << 16;
+
+/// Stable parallel bucket scatter: the distribution pass of a counting sort.
+///
+/// Returns `emit(i, &items[i])` for every item, grouped by
+/// `bucket_of(&items[i])` (which must be `< buckets`) in ascending bucket
+/// order, with the items of one bucket in input order; and the
+/// `buckets + 1` bucket offsets into that output.
+///
+/// The items are cut into data-size-keyed chunks. Per-chunk histograms give
+/// every (bucket, chunk) pair its own slice of the one output buffer, so the
+/// chunks scatter concurrently into disjoint slices and the layout never
+/// depends on the thread count.
+pub fn scatter_stable<T: Sync, R: Copy + Default + Send>(
+    items: &[T],
+    buckets: usize,
+    bucket_of: impl Fn(&T) -> usize + Sync,
+    emit: impl Fn(usize, &T) -> R + Sync,
+) -> (Vec<R>, Vec<usize>) {
+    let chunks = chunk_ranges(items.len(), SCATTER_CHUNK);
+    // hist[c * buckets + b]: items of chunk c in bucket b.
+    let mut hist = vec![0u32; chunks.len() * buckets];
+    let hist_cuts: Vec<usize> = (1..chunks.len()).map(|c| c * buckets).collect();
+    par_split_mut(&mut hist, &hist_cuts, |c, counts| {
+        for x in &items[chunks[c].clone()] {
+            counts[bucket_of(x)] += 1;
         }
-        part
     });
-    let mut out = Vec::with_capacity(n + 1);
-    for part in chunks {
-        out.extend(part);
+
+    // Bucket-major layout: bucket b holds chunk 0's items, then chunk 1's, …
+    let mut out = vec![R::default(); items.len()];
+    let mut offsets = Vec::with_capacity(buckets + 1);
+    let mut slots: Vec<Vec<std::slice::IterMut<'_, R>>> =
+        chunks.iter().map(|_| Vec::with_capacity(buckets)).collect();
+    let mut rest = out.as_mut_slice();
+    let mut total = 0;
+    for b in 0..buckets {
+        offsets.push(total);
+        for (c, chunk_slots) in slots.iter_mut().enumerate() {
+            let len = hist[c * buckets + b] as usize;
+            let (piece, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            chunk_slots.push(piece.iter_mut());
+            rest = tail;
+            total += len;
+        }
     }
-    out
+    offsets.push(total);
+
+    let tasks: Vec<_> = chunks.into_iter().zip(slots).collect();
+    par_tasks(tasks, |(r, mut slots)| {
+        for i in r {
+            let slot = slots[bucket_of(&items[i])]
+                .next()
+                .expect("the histogram counted this item");
+            *slot = emit(i, &items[i]);
+        }
+    });
+    (out, offsets)
 }
 
 #[cfg(test)]
@@ -226,17 +284,66 @@ mod tests {
     }
 
     #[test]
-    fn sorted_key_offsets_match_counting() {
-        let keys: Vec<u32> = vec![0, 0, 1, 3, 3, 3, 7];
-        let n = 9;
-        let offsets = sorted_key_offsets(n, keys.len(), |i| keys[i]);
-        let mut counts = vec![0u32; n + 1];
-        for &k in &keys {
-            counts[k as usize + 1] += 1;
+    fn par_tasks_returns_in_task_order() {
+        let tasks: Vec<u32> = (0..50).collect();
+        let threaded = par_tasks(tasks.clone(), |x| x * x);
+        let serial = with_serial_input(|| par_tasks(tasks, |x| x * x));
+        assert_eq!(threaded, serial);
+        assert_eq!(threaded[7], 49);
+    }
+
+    /// Keys with a deliberately skewed spread: bucket 0 takes most items.
+    fn skewed_items(len: usize) -> Vec<(u32, u32)> {
+        (0..len as u32)
+            .map(|i| {
+                (
+                    if i % 3 == 0 {
+                        i.wrapping_mul(2_654_435_761) % 5
+                    } else {
+                        0
+                    },
+                    i,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scatter_stable_groups_by_bucket_in_input_order() {
+        // Spans more than one scatter chunk (outside Miri) so cross-chunk
+        // order is exercised too.
+        let len = if cfg!(miri) {
+            300
+        } else {
+            SCATTER_CHUNK * 2 + 77
+        };
+        let items = skewed_items(len);
+        let (out, offsets) = scatter_stable(&items, 5, |&(k, _)| k as usize, |i, &x| (x, i));
+        assert_eq!(offsets.len(), 6);
+        assert_eq!(offsets[5], len);
+        // A stable sort by bucket is the specification.
+        let mut expect: Vec<((u32, u32), usize)> = items.iter().copied().zip(0..).collect();
+        expect.sort_by_key(|&((k, _), _)| k);
+        assert_eq!(out, expect);
+        for b in 0..5 {
+            assert!(out[offsets[b]..offsets[b + 1]]
+                .iter()
+                .all(|&((k, _), _)| k as usize == b));
         }
-        for i in 1..=n {
-            counts[i] += counts[i - 1];
+    }
+
+    #[test]
+    fn scatter_stable_serial_identical_and_handles_empty_buckets() {
+        let items = skewed_items(if cfg!(miri) { 200 } else { 70_000 });
+        let run = || scatter_stable(&items, 9, |&(k, _)| k as usize * 2, |_, &x| x);
+        let threaded = run();
+        assert_eq!(threaded, with_serial_input(run));
+        // Odd buckets receive nothing: their ranges are empty.
+        for b in (1..9).step_by(2) {
+            assert_eq!(threaded.1[b], threaded.1[b + 1]);
         }
-        assert_eq!(offsets, counts);
+        let (empty, offsets) = scatter_stable(&[] as &[u32], 3, |_| 0, |_, &x| x);
+        assert!(empty.is_empty());
+        assert_eq!(offsets, vec![0; 4]);
     }
 }

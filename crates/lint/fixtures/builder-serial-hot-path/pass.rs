@@ -1,8 +1,7 @@
 //! Fixture: all loops and sorts run inside par:: helper spans.
 impl GraphBuilder {
     pub fn build_chunked(self) -> CsrGraph {
-        let mut edges = self.edges;
-        let offsets = par::sorted_key_offsets(&mut edges, |e| e.0);
+        let (edges, offsets) = par::scatter_stable(&self.edges, 8, |e| e.0, |_, &e| e);
         par::run_chunks(&offsets, |chunk| {
             for e in chunk {
                 consume(e);

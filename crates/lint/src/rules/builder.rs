@@ -9,8 +9,8 @@
 //!
 //! Registered hot paths:
 //!
-//! * `fn build_chunked` in the graph builder — the chunk-parallel CSR
-//!   construction.
+//! * `fn build_chunked` in the graph builder — the bucketed counting-sort
+//!   CSR construction.
 //! * The sharded MSF module's shard-merge kernels: `solve_triples` (route
 //!   dispatch + total-order sort), `solve_dense` (the packed SWAR filter
 //!   split), `scan_forest` (the greedy DSU scan — serial by nature, carries
@@ -42,7 +42,7 @@ const PAR_HELPERS: &[&str] = &[
     "par_map",
     "par_tasks",
     "par_split_mut",
-    "sorted_key_offsets",
+    "scatter_stable",
     "chunk_ranges",
     "par_sort_unstable",
 ];

@@ -121,8 +121,8 @@ pub static GRAPH_BUILDS: Metric = Metric::counter(
 pub static GRAPH_BUILD_CHUNKS: Metric = Metric::counter(
     "ecl.graph.build_chunks",
     Volatile,
-    "data-size-keyed chunks dispatched by the chunk-parallel CSR build \
-     (zero on single-threaded hosts, where build() takes the serial path)",
+    "vertex buckets (4096 vertices each) processed by the counting-sort CSR \
+     build; keyed by the vertex count, the same on any thread count",
 );
 pub static GRAPH_BUILD_ARCS: Metric = Metric::histogram(
     "ecl.graph.build_arcs",
